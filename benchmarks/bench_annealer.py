@@ -13,6 +13,11 @@ the batched engine's two headline wins:
 * **end-to-end gate** — >= 3x on a 16-sibling ``rank_assignments`` probe
   pass (the planner triaging a full m=5 fan-out), vectorized vs legacy
   probes, bit-identical re-runs on both engines;
+* **mixed-topology gate** — >= 2x for one ``anneal_many`` call over a
+  recursive-tree-shaped batch (dozens of small BA d=1 trees, a few with
+  several siblings, plus one ~1000-spin tree) against one call per
+  topology group, with bit-identical results — the disjoint-union sweep
+  must pay off where the recursive path's budget-cut nodes land;
 
 plus the legacy pin: ``vectorized=False`` results are bit-identical across
 calls (and to historical outputs — enforced exactly by the golden suite,
@@ -128,7 +133,7 @@ def test_batched_kernel_speedup_500_spins(benchmark):
         f"batched best {batched.value} worse than legacy {legacy.value}"
     )
     assert speedup >= 10.0, f"kernel speedup {speedup:.1f}x < 10x"
-    _KERNEL_RECORD.update(
+    _RECORD.update(
         {
             "kernel_speedup": speedup,
             "kernel_legacy_seconds": legacy_s,
@@ -142,7 +147,98 @@ def test_batched_kernel_speedup_500_spins(benchmark):
     )
 
 
-_KERNEL_RECORD: dict = {}
+_RECORD: dict = {}
+
+
+def _mixed_topology_batch(seed):
+    """Small BA d=1 trees (some with several siblings that differ in h)
+    plus one ~1000-spin tree: the shape of a recursive solve's batch of
+    budget-cut nodes."""
+    rng = np.random.default_rng(seed)
+    big = _powerlaw(scale(1000, 1000), attachment=1, seed=seed)
+    families = [[big]]
+    for tree in range(scale(30, 30)):
+        size = int(rng.integers(3, 60))
+        base = _powerlaw(size, attachment=1, seed=seed + tree + 1)
+        copies = int(rng.choice([1, 1, 1, 1, 2, 3, 4]))
+        families.append(
+            [
+                IsingHamiltonian(
+                    base.num_qubits,
+                    linear=rng.choice([-1.0, 0.0, 1.0], size=base.num_qubits),
+                    quadratic=base.quadratic,
+                    offset=float(rng.integers(-3, 4)),
+                )
+                for _ in range(copies)
+            ]
+        )
+    return families
+
+
+def test_mixed_topology_batch_speedup(benchmark):
+    """>= 2x for one union-swept call vs one call per topology group."""
+    families = _mixed_topology_batch(seed=29)
+    batch = [h for family in families for h in family]
+    seeds = list(range(100, 100 + len(batch)))
+    bounds = np.cumsum([0] + [len(family) for family in families])
+    family_seeds = [seeds[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    kwargs = dict(num_sweeps=scale(500, 500), num_restarts=4)
+
+    # Warm the structure memo and interpreter paths off the clock.
+    anneal_many(batch, num_sweeps=2, num_restarts=1, seeds=seeds)
+
+    def per_group():
+        return [
+            result
+            for family, family_seed in zip(families, family_seeds)
+            for result in anneal_many(family, seeds=family_seed, **kwargs)
+        ]
+
+    def one_call():
+        return anneal_many(batch, seeds=seeds, **kwargs)
+
+    def timed(call):
+        best_seconds, result = float("inf"), None
+        for _ in range(2):
+            started = time.perf_counter()
+            result = call()
+            best_seconds = min(best_seconds, time.perf_counter() - started)
+        return result, best_seconds
+
+    grouped, grouped_s = timed(per_group)
+    union, union_s = timed(one_call)
+    speedup = grouped_s / union_s
+    benchmark.pedantic(one_call, rounds=1, iterations=1)
+    rows = [
+        {
+            "calls": "one per topology",
+            "topologies": len(families),
+            "siblings": len(batch),
+            "total_ms": grouped_s * 1000.0,
+        },
+        {
+            "calls": "one anneal_many",
+            "topologies": len(families),
+            "siblings": len(batch),
+            "total_ms": union_s * 1000.0,
+        },
+    ]
+    print()
+    print(render_table(rows, title="mixed-topology batch wall-clock"))
+    print(f"mixed-topology speedup: {speedup:.1f}x")
+
+    # Batch composition never changes a sibling's result.
+    assert union == grouped
+    assert speedup >= 2.0, f"mixed-topology speedup {speedup:.1f}x < 2x"
+    _RECORD.update(
+        {
+            "mixed_speedup": speedup,
+            "mixed_grouped_seconds": grouped_s,
+            "mixed_union_seconds": union_s,
+            "mixed_topologies": len(families),
+            "mixed_siblings": len(batch),
+        }
+    )
 
 
 def test_probe_pass_speedup_16_siblings(benchmark):
@@ -219,14 +315,15 @@ def test_probe_pass_speedup_16_siblings(benchmark):
     emit_bench_json(
         "annealer",
         {
-            **_KERNEL_RECORD,
+            **_RECORD,
             "probe_speedup": speedup,
             "probe_legacy_seconds": legacy_s,
             "probe_batched_seconds": batched_s,
             "probe_siblings": NUM_SIBLINGS,
             "probe_cell_qubits": num_qubits - 5,
             "speedup": {
-                "kernel": _KERNEL_RECORD.get("kernel_speedup"),
+                "kernel": _RECORD.get("kernel_speedup"),
+                "mixed_topology": _RECORD.get("mixed_speedup"),
                 "probe_pass": speedup,
             },
         },

@@ -60,6 +60,14 @@ if TYPE_CHECKING:
     from repro.transpile.compiler import TranspileOptions, TranspiledCircuit
 
 
+#: Engine tag of the vectorized annealer in anneal cache keys. Bumped from
+#: ``"vectorized"`` when energies became per-group segment sums: on
+#: real-valued weights those can differ in the last bits from the earlier
+#: shape-dependent sums, so entries written before must miss rather than
+#: answer. Integer-valued results are unchanged.
+VECTORIZED_ENGINE = "vectorized-segsum"
+
+
 # ----------------------------------------------------------------------
 # Energy spectra
 # ----------------------------------------------------------------------
@@ -213,7 +221,7 @@ def cached_simulated_annealing(
             initial_temperature,
             final_temperature,
             int(seed),
-            engine="vectorized" if vectorized else "scalar",
+            engine=VECTORIZED_ENGINE if vectorized else "scalar",
         )
         hit = cache.get("anneal", key, rebuild=_anneal_rebuild)
         if hit is not None:
@@ -301,7 +309,7 @@ def cached_anneal_many(
                 initial_temperature,
                 final_temperature,
                 int(sibling_seed),
-                engine="vectorized",
+                engine=VECTORIZED_ENGINE,
             )
             keys[index] = key
             hit = cache.get("anneal", key, rebuild=_anneal_rebuild)

@@ -173,7 +173,12 @@ def _simulated_annealing_scalar(
                         best_spins = spins.copy()
             temperature *= cooling
         restart_values.append(restart_best)
-    assert best_spins is not None
+    if best_spins is None:
+        # NaN (or +inf) energies never compare lower, so no state was kept.
+        raise HamiltonianError(
+            "simulated annealing found no finite energy: the Hamiltonian's "
+            "energy was non-finite (NaN or infinite coefficient)"
+        )
     return AnnealResult(
         value=float(best_value),
         spins=tuple(int(s) for s in best_spins),

@@ -18,10 +18,18 @@ This module runs those families in one pass:
   after another — per-replica Metropolis semantics (each flip sees every
   earlier flip's updated local field) are preserved, while each update step
   is a handful of array operations over ``sites x siblings x replicas``;
+* a **mixed batch sweeps as a few disjoint-union programs**, not one loop
+  per topology: topology groups with the same number of members are laid
+  side by side on one site axis (each group keeps its own coloring, block
+  order and edge order), so per-sweep Python work grows with the number of
+  distinct group sizes. A recursive solve's budget-cut nodes span dozens
+  of mostly single-member topologies but only a handful of sizes;
 * local fields are maintained **incrementally** (scatter-add of the flipped
   spins' coupling contributions), so a sweep costs O(N + |J|) work per
   replica just like the scalar loop — but as a few vectorized passes
-  instead of N Python iterations.
+  instead of N Python iterations. Energies are **segment sums over each
+  group's own run of sites**, so their summation order never depends on
+  what else shares the batch.
 
 Seeding contract (what makes batched results cacheable per sibling):
 
@@ -29,13 +37,17 @@ Seeding contract (what makes batched results cacheable per sibling):
   ``seeds[b]`` — no RNG state is ever shared across siblings;
 * a sibling's draw order is fixed: first the initial spins of all replicas
   (one ``choice((-1, +1), size=(num_restarts, n))``), then one uniform
-  block ``random((num_restarts, n))`` per sweep;
+  block ``random((num_restarts, n))`` per sweep — drawn a bounded chunk of
+  sweeps at a time, ``random((chunk, num_restarts, n))``, which is the
+  same stream;
 * replicas are therefore slices of their sibling's stream, and a sibling's
   result depends only on its own ``(hamiltonian, parameters, seed)`` —
   **never on the batch composition**. ``anneal_many([h], seeds=[s])[0]``
-  is bit-identical to the same sibling inside any larger batch, which is
-  what lets :func:`repro.cache.memo.cached_anneal_many` answer per-sibling
-  hits individually and run only the misses.
+  is bit-identical to the same sibling inside any larger batch, real-valued
+  weights included, which is what lets
+  :func:`repro.cache.memo.cached_anneal_many` answer per-sibling hits
+  individually and run only the misses. (Passing one generator object for
+  two siblings shares its state between them and voids this.)
 """
 
 from __future__ import annotations
@@ -71,9 +83,9 @@ class _ColorBlock:
         source_positions: For each outgoing directed edge of the class (in
             destination-sorted order), the source site's position within
             ``sites``.
-        edge_indices: The directed edges' positions in the structure's
-            directed-edge arrays (destination-sorted; used to gather
-            per-sibling weights).
+        edge_indices: The directed edges' positions in the owning
+            structure's (or union layout's) directed-edge arrays
+            (destination-sorted; used to gather per-sibling weights).
         unique_destinations: Distinct destination sites, ascending.
         segment_starts: Start offset of each destination's edge run.
     """
@@ -223,6 +235,107 @@ def _memoized_structure(num_qubits: int, pairs: np.ndarray) -> AnnealStructure:
     )
 
 
+#: Sweeps whose uniforms each sibling draws in one call, and the buffer
+#: size (float64 elements, 8 MiB) that caps the chunk on very large
+#: buckets. The chunk only sets how the stream is drawn, never its values.
+_UNIFORM_CHUNK = 16
+_UNIFORM_BUFFER = 1 << 20
+
+
+def _run_starts(counts) -> np.ndarray:
+    """Start offset of each run when runs of ``counts`` are laid end to end."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.cumsum(counts) - counts
+
+
+class _UnionLayout:
+    """The disjoint union of the topology groups that share one batch size.
+
+    Group ``g`` owns the site run ``rows[g]`` and its directed edges keep
+    their own order, offset into one concatenated edge array. Union color
+    block ``c`` is every group's own color-``c`` block, concatenated in
+    group order, so each group keeps its coloring and block order and each
+    destination keeps its contribution order — a group sweeps exactly as it
+    would alone. Groups are ordered by descending color count, so the
+    groups present in block ``c`` are the prefix ``0:run_counts[c]``, whose
+    runs within the block's sites start at ``run_starts[c]``.
+    """
+
+    def __init__(self, structures: "Sequence[AnnealStructure]") -> None:
+        """``structures``: the bucket's groups, by descending color count."""
+        self.structures = list(structures)
+        self.sizes = np.array([s.num_qubits for s in structures], dtype=np.int64)
+        self.starts = _run_starts(self.sizes)
+        self.rows = [
+            slice(int(start), int(start + size))
+            for start, size in zip(self.starts, self.sizes)
+        ]
+        self.num_sites = int(self.sizes.sum())
+        edge_starts = _run_starts([s.src.size for s in structures])
+        self.src = np.concatenate(
+            [s.src + start for s, start in zip(structures, self.starts)]
+        )
+        self.dst = np.concatenate(
+            [s.dst + start for s, start in zip(structures, self.starts)]
+        )
+        self.pairs = np.concatenate(
+            [s.pairs + start for s, start in zip(structures, self.starts)]
+        )
+        pair_counts = np.array([len(s.pairs) for s in structures], dtype=np.int64)
+        self.pair_groups = np.flatnonzero(pair_counts)
+        self.pair_starts = _run_starts(pair_counts)[self.pair_groups]
+
+        def union(blocks, field, shifts):
+            return np.concatenate(
+                [getattr(b, field) + k for b, k in zip(blocks, shifts)]
+            )
+
+        self.blocks: list[_ColorBlock] = []
+        self.run_counts: list[int] = []
+        self.run_starts: list[np.ndarray] = []
+        for color in range(structures[0].num_colors):
+            count = sum(s.num_colors > color for s in structures)
+            blocks = [s.blocks[color] for s in structures[:count]]
+            site_before = _run_starts([b.sites.size for b in blocks])
+            edge_before = _run_starts([b.edge_indices.size for b in blocks])
+            self.blocks.append(
+                _ColorBlock(
+                    sites=union(blocks, "sites", self.starts),
+                    source_positions=union(
+                        blocks, "source_positions", site_before
+                    ),
+                    edge_indices=union(blocks, "edge_indices", edge_starts),
+                    unique_destinations=union(
+                        blocks, "unique_destinations", self.starts
+                    ),
+                    segment_starts=union(blocks, "segment_starts", edge_before),
+                )
+            )
+            self.run_counts.append(count)
+            self.run_starts.append(site_before)
+
+    def copy_improved(
+        self, target: np.ndarray, source: np.ndarray, improved: np.ndarray
+    ) -> None:
+        """Copy the site runs of the improved ``(group, sibling, replica)``
+        columns from ``source`` into ``target`` (both C-contiguous
+        ``(sites, batch, replicas)``), touching no other column."""
+        if len(self.rows) == 1:
+            # One group: its run is every site, so a column mask suffices
+            # (and is cheaper than flat indices on wide replica axes).
+            columns = improved[0]
+            target[:, columns] = source[:, columns]
+            return
+        width = improved[0].size
+        group, column = np.nonzero(improved.reshape(len(improved), width))
+        lengths = self.sizes[group]
+        ends = np.cumsum(lengths)
+        flat = np.repeat(
+            (self.starts[group] - ends + lengths) * width + column, lengths
+        ) + np.arange(ends[-1]) * width
+        np.put(target, flat, np.take(source, flat))
+
+
 def anneal_many(
     hamiltonians: "Sequence[IsingHamiltonian]",
     num_sweeps: int = 500,
@@ -231,15 +344,17 @@ def anneal_many(
     final_temperature: float = 0.01,
     seeds: "Sequence[int | np.random.Generator | None] | None" = None,
     seed: "int | np.random.Generator | None" = None,
-    sweep_callback: "Callable[[int, np.ndarray, np.ndarray], None] | None" = None,
+    sweep_callback: "Callable[[int, int, np.ndarray, np.ndarray], None] | None" = None,
 ) -> list[AnnealResult]:
     """Anneal a batch of Hamiltonians in one vectorized multi-replica pass.
 
     Siblings sharing a coupling topology (same qubit count, same quadratic
     pairs — the FrozenQubits fan-out case, where only ``h`` and the offset
-    differ per assignment) are grouped onto one precomputed
-    :class:`AnnealStructure` and swept together; a mixed batch simply runs
-    one group per topology, still inside this single call.
+    differ per assignment) form a group on one precomputed
+    :class:`AnnealStructure`. Groups with the same number of members are
+    laid side by side as one disjoint-union program and swept together, so
+    a mixed batch costs one sweep loop per distinct group size, not one
+    per topology.
 
     Args:
         hamiltonians: The batch. May be empty (returns ``[]``).
@@ -256,11 +371,13 @@ def anneal_many(
             which per-sibling integer seeds are spawned
             (:func:`repro.utils.rng.spawn_seeds` order, i.e. batch-order
             dependent — prefer explicit ``seeds`` when caching).
-        sweep_callback: Test hook, called after every sweep with
-            ``(sweep_index, spins, energies)`` where ``spins`` has shape
-            ``(n, batch, replicas)`` and ``energies`` ``(batch, replicas)``
-            for the currently-running topology group (copies; mutation has
-            no effect on the run).
+        sweep_callback: Test hook, called after every sweep once per
+            sibling with ``(sweep_index, batch_index, spins, energies)``:
+            ``batch_index`` is the sibling's position in ``hamiltonians``,
+            ``spins`` its replicas' current state, shape
+            ``(replicas, num_qubits)``, and ``energies`` their maintained
+            energies, shape ``(replicas,)`` (copies; mutation has no effect
+            on the run).
 
     Returns:
         One :class:`~repro.ising.annealer.AnnealResult` per input, in input
@@ -296,73 +413,97 @@ def anneal_many(
             final_temperature,
         )
 
-    # Group the batch by coupling topology; each group shares one
-    # structure (and one coloring) and sweeps as a single array program.
+    # Group the batch by coupling topology, then bucket the groups by
+    # member count: each bucket sweeps as one disjoint-union program.
     groups: "OrderedDict[tuple[int, bytes], list[int]]" = OrderedDict()
     for index, hamiltonian in enumerate(hamiltonians):
         key = (hamiltonian.num_qubits, _pair_array(hamiltonian).tobytes())
         groups.setdefault(key, []).append(index)
-
-    results: list[AnnealResult | None] = [None] * len(hamiltonians)
+    buckets: "dict[int, list[tuple[AnnealStructure, list[int]]]]" = {}
     for members in groups.values():
         structure = AnnealStructure.for_hamiltonian(hamiltonians[members[0]])
-        group_results = _anneal_group(
-            [hamiltonians[i] for i in members],
-            structure,
+        buckets.setdefault(len(members), []).append((structure, members))
+
+    results: list[AnnealResult | None] = [None] * len(hamiltonians)
+    for bucket in buckets.values():
+        bucket.sort(key=lambda entry: -entry[0].num_colors)
+        for index, result in _anneal_bucket(
+            hamiltonians,
+            seeds,
+            _UnionLayout([structure for structure, _ in bucket]),
+            [members for _, members in bucket],
             num_sweeps,
             num_restarts,
             initial_temperature,
             final_temperature,
-            [seeds[i] for i in members],
             sweep_callback,
-        )
-        for index, result in zip(members, group_results):
+        ):
             results[index] = result
     return [result for result in results if result is not None]
 
 
-def _anneal_group(
+def _anneal_bucket(
     hamiltonians: list[IsingHamiltonian],
-    structure: AnnealStructure,
+    seeds: "Sequence[int | np.random.Generator | None]",
+    layout: _UnionLayout,
+    members: list[list[int]],
     num_sweeps: int,
     num_restarts: int,
     initial_temperature: float,
     final_temperature: float,
-    seeds: list,
     sweep_callback,
-) -> list[AnnealResult]:
-    """Sweep one topology group: arrays are ``(n, batch, replicas)``."""
-    n = structure.num_qubits
-    batch = len(hamiltonians)
+) -> list[tuple[int, AnnealResult]]:
+    """Sweep one bucket: site arrays are ``(sites, batch, replicas)`` and
+    energies ``(groups, batch, replicas)``; ``members[g][b]`` is the input
+    index of group ``g``'s sibling ``b``."""
+    batch = len(members[0])
     replicas = num_restarts
-    rngs = [ensure_rng(s) for s in seeds]
+    siblings = [
+        (group, b, index)
+        for group, row in enumerate(members)
+        for b, index in enumerate(row)
+    ]
+    rngs = [ensure_rng(seeds[index]) for _, _, index in siblings]
 
-    linear = np.stack([h.linear for h in hamiltonians], axis=0)  # (B, n)
-    offsets = np.array([h.offset for h in hamiltonians])  # (B,)
-    weights = structure.directed_weights(hamiltonians)  # (B, 2nnz)
-    pairs = structure.pairs
-
-    # Initial state: per-sibling draws (contract: spins first, then one
-    # uniform block per sweep — see module docstring).
-    spins = np.empty((n, batch, replicas))
-    for b, rng in enumerate(rngs):
-        spins[:, b, :] = rng.choice((-1.0, 1.0), size=(replicas, n)).T
+    linear = np.empty((layout.num_sites, batch))
+    offsets = np.empty((len(members), batch))
+    spins = np.empty((layout.num_sites, batch, replicas))
+    for (group, b, index), rng in zip(siblings, rngs):
+        rows = layout.rows[group]
+        linear[rows, b] = hamiltonians[index].linear
+        offsets[group, b] = hamiltonians[index].offset
+        # Contract: spins first, then the uniforms (module docstring).
+        spins[rows, b, :] = rng.choice(
+            (-1.0, 1.0), size=(replicas, layout.sizes[group])
+        ).T
+    group_weights = [
+        structure.directed_weights([hamiltonians[i] for i in row])
+        for structure, row in zip(layout.structures, members)
+    ]
+    weights = np.concatenate(group_weights, axis=1)  # (B, directed edges)
+    pair_values = np.concatenate(
+        [w[:, : len(s.pairs)] for s, w in zip(layout.structures, group_weights)],
+        axis=1,
+    )  # (B, pairs) undirected
 
     # Local fields h_i + sum_j J_ij z_j, maintained incrementally.
-    fields = np.repeat(linear.T[:, :, None], replicas, axis=2)  # (n, B, R)
-    if structure.src.size:
-        np.add.at(
-            fields,
-            structure.src,
-            weights.T[:, :, None] * spins[structure.dst],
-        )
+    fields = np.repeat(linear[:, :, None], replicas, axis=2)
+    if layout.src.size:
+        np.add.at(fields, layout.src, weights.T[:, :, None] * spins[layout.dst])
 
-    # Energies: z.h + offset + sum J z_i z_j, per (sibling, replica).
-    energy = np.einsum("bn,nbr->br", linear, spins) + offsets[:, None]
-    if len(pairs):
-        pair_values = weights[:, : len(pairs)]  # (B, nnz) undirected
-        energy += np.einsum(
-            "bp,pbr->br", pair_values, spins[pairs[:, 0]] * spins[pairs[:, 1]]
+    # Energies z.h + offset + sum J z_i z_j per (group, sibling, replica),
+    # each a segment sum over the group's own run: its summation order
+    # never depends on what else shares the bucket.
+    energy = (
+        np.add.reduceat(linear[:, :, None] * spins, layout.starts, axis=0)
+        + offsets[:, :, None]
+    )
+    if layout.pair_groups.size:
+        pairs = layout.pairs
+        energy[layout.pair_groups] += np.add.reduceat(
+            pair_values.T[:, :, None] * (spins[pairs[:, 0]] * spins[pairs[:, 1]]),
+            layout.pair_starts,
+            axis=0,
         )
 
     best_energy = energy.copy()
@@ -371,29 +512,43 @@ def _anneal_group(
         1.0 / max(num_sweeps - 1, 1)
     )
     temperature = initial_temperature
-    block_weights = [
-        2.0 * weights[:, block.edge_indices].T[:, :, None]  # (m, B, 1)
-        for block in structure.blocks
+    steps = [
+        (block, 2.0 * weights[:, block.edge_indices].T[:, :, None], count, starts)
+        for block, count, starts in zip(
+            layout.blocks, layout.run_counts, layout.run_starts
+        )
     ]
 
-    uniforms = np.empty((n, batch, replicas))
+    sweep_size = layout.num_sites * batch * replicas
+    chunk = max(1, min(_UNIFORM_CHUNK, num_sweeps, _UNIFORM_BUFFER // sweep_size))
+    uniforms = np.empty((chunk, layout.num_sites, batch, replicas))
     for sweep in range(num_sweeps):
-        for b, rng in enumerate(rngs):
-            uniforms[:, b, :] = rng.random((replicas, n)).T
+        chunk_step = sweep % chunk
+        if chunk_step == 0:
+            # One draw per sibling covers the next chunk of sweeps; it is
+            # the same stream as one (replicas, n) draw per sweep.
+            count = min(chunk, num_sweeps - sweep)
+            for (group, b, _), rng in zip(siblings, rngs):
+                uniforms[:count, layout.rows[group], b, :] = rng.random(
+                    (count, replicas, layout.sizes[group])
+                ).transpose(0, 2, 1)
+        sweep_uniforms = uniforms[chunk_step]
         inv_temperature = 1.0 / temperature
-        for block, scaled_weights in zip(structure.blocks, block_weights):
+        for block, scaled_weights, run_count, run_starts in steps:
             sites = block.sites
             z = spins[sites]
             delta = -2.0 * z * fields[sites]
             # Metropolis acceptance in one expression: for delta <= 0 the
             # clamped exponent is 0, exp is 1, and uniforms < 1 always —
             # matching the scalar loop's unconditional downhill accept.
-            accept = uniforms[sites] < np.exp(
+            accept = sweep_uniforms[sites] < np.exp(
                 np.minimum(-delta * inv_temperature, 0.0)
             )
             z_new = np.where(accept, -z, z)
             spins[sites] = z_new
-            energy += np.einsum("kbr,kbr->br", delta, accept)
+            energy[:run_count] += np.add.reduceat(
+                np.where(accept, delta, 0.0), run_starts, axis=0
+            )
             if block.edge_indices.size:
                 # Field maintenance as a segment-sum: flip contributions
                 # are gathered in destination-sorted order, reduced per
@@ -409,23 +564,36 @@ def _anneal_group(
                 )
             improved = energy < best_energy - _IMPROVEMENT_MARGIN
             if improved.any():
-                best_energy = np.where(improved, energy, best_energy)
-                best_spins[:, improved] = spins[:, improved]
+                np.copyto(best_energy, energy, where=improved)
+                layout.copy_improved(best_spins, spins, improved)
         temperature *= cooling
         if sweep_callback is not None:
-            sweep_callback(sweep, spins.copy(), energy.copy())
+            for group, b, index in siblings:
+                sweep_callback(
+                    sweep,
+                    index,
+                    spins[layout.rows[group], b, :].T.copy(),
+                    energy[group, b].copy(),
+                )
 
     results = []
-    for b in range(batch):
-        winner = int(np.argmin(best_energy[b]))
+    for group, b, index in siblings:
+        winner = int(np.argmin(best_energy[group, b]))
         results.append(
-            AnnealResult(
-                value=float(best_energy[b, winner]),
-                spins=tuple(int(s) for s in best_spins[:, b, winner]),
-                num_sweeps=num_sweeps,
-                num_restarts=num_restarts,
-                num_replicas=replicas,
-                restart_values=tuple(float(v) for v in best_energy[b]),
+            (
+                index,
+                AnnealResult(
+                    value=float(best_energy[group, b, winner]),
+                    spins=tuple(
+                        best_spins[layout.rows[group], b, winner]
+                        .astype(np.int64)
+                        .tolist()
+                    ),
+                    num_sweeps=num_sweeps,
+                    num_restarts=num_restarts,
+                    num_replicas=replicas,
+                    restart_values=tuple(best_energy[group, b].tolist()),
+                ),
             )
         )
     return results

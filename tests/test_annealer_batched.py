@@ -7,8 +7,8 @@ Covers the engine's four core contracts:
 * **validity** — batched best energies can never beat the brute-force
   minimum, and reported spins always evaluate to the reported value;
 * **reproducibility** — seeded runs are deterministic, and a sibling's
-  result is independent of batch composition (the property the batch-aware
-  cache memo relies on);
+  result is independent of batch composition, bit for bit on real-valued
+  weights too (the property the batch-aware cache memo relies on);
 * **quality parity** — the vectorized engine matches the legacy scalar
   loop's mean best energy within noise on seeded power-law instances.
 
@@ -26,6 +26,7 @@ from repro.backend.serial import SerialBackend
 from repro.baselines.classical import c_min_many, solve_classically_many
 from repro.cache.keys import anneal_key
 from repro.cache.memo import (
+    VECTORIZED_ENGINE,
     cached_anneal_many,
     cached_simulated_annealing,
     memoized_distance_matrix,
@@ -91,24 +92,45 @@ class TestStructure:
 
 
 class TestBookkeeping:
-    def test_incremental_energy_matches_evaluate_many_every_sweep(self):
-        cells = _sibling_cells(n=14, m=2, seed=7)
-        checked = []
+    @staticmethod
+    def _check_every_sweep(hamiltonians, num_sweeps, num_restarts):
+        checked = {index: [] for index in range(len(hamiltonians))}
 
-        def check(sweep, spins, energies):
-            n, batch, replicas = spins.shape
-            for b in range(batch):
-                reference = cells[b].evaluate_many(spins[:, b, :].T)
-                np.testing.assert_allclose(
-                    reference, energies[b], rtol=0, atol=1e-9
-                )
-            checked.append(sweep)
+        def check(sweep, index, spins, energies):
+            assert spins.shape == (
+                num_restarts, hamiltonians[index].num_qubits
+            )
+            reference = hamiltonians[index].evaluate_many(spins)
+            np.testing.assert_allclose(reference, energies, rtol=0, atol=1e-9)
+            checked[index].append(sweep)
 
         anneal_many(
-            cells, num_sweeps=25, num_restarts=3,
-            seeds=list(range(1, len(cells) + 1)), sweep_callback=check,
+            hamiltonians, num_sweeps=num_sweeps, num_restarts=num_restarts,
+            seeds=list(range(1, len(hamiltonians) + 1)), sweep_callback=check,
         )
-        assert checked == list(range(25))
+        for sweeps in checked.values():
+            assert sweeps == list(range(num_sweeps))
+
+    def test_incremental_energy_matches_evaluate_many_every_sweep(self):
+        self._check_every_sweep(
+            _sibling_cells(n=14, m=2, seed=7), num_sweeps=25, num_restarts=3
+        )
+
+    def test_incremental_energy_matches_on_mixed_topology_batch(self):
+        # Several topologies per batch size, so each bucket sweeps a
+        # disjoint union of groups with different color counts.
+        cells = _sibling_cells(n=14, m=2, seed=7)
+        others = _sibling_cells(n=10, m=2, seed=8)
+        singles = [
+            _powerlaw(9, 1, seed=5),
+            _powerlaw(16, 3, seed=6),
+            IsingHamiltonian(3, linear=[1.0, -0.5, 0.25], offset=-1.0),
+        ]
+        self._check_every_sweep(
+            [singles[0], *cells, singles[1], *others[:2], singles[2]],
+            num_sweeps=25,
+            num_restarts=3,
+        )
 
     def test_reported_spins_evaluate_to_reported_value(self):
         for seed in range(5):
@@ -165,6 +187,20 @@ class TestReproducibility:
         assert mixed[2] == anneal_many([a], num_sweeps=20, num_restarts=2,
                                        seeds=[6])[0]
 
+    def test_uniform_chunking_does_not_change_results(self, monkeypatch):
+        # Chunked uniform draws must be the per-sweep stream: a one-sweep
+        # buffer (and a sweep count that is no multiple of the chunk)
+        # gives the same bits.
+        import repro.ising.annealer_batched as engine
+
+        cells = _sibling_cells(n=12, m=2, seed=5) + [_powerlaw(17, 2, seed=6)]
+        seeds = list(range(60, 60 + len(cells)))
+        chunked = anneal_many(cells, num_sweeps=37, num_restarts=3, seeds=seeds)
+        monkeypatch.setattr(engine, "_UNIFORM_BUFFER", 1)
+        assert anneal_many(
+            cells, num_sweeps=37, num_restarts=3, seeds=seeds
+        ) == chunked
+
     def test_parent_seed_spawns_deterministically(self):
         cells = _sibling_cells()
         first = anneal_many(cells, num_sweeps=20, num_restarts=2, seed=9)
@@ -180,6 +216,69 @@ class TestReproducibility:
         h = _powerlaw(8, 1, seed=3)
         with pytest.raises(HamiltonianError):
             anneal_many([h, h], seeds=[1])
+
+
+def _real_family(n, attachment, seed, count):
+    """``count`` real-valued siblings on one BA topology: shared J, own h
+    and offset, none of them integers."""
+    graph = barabasi_albert_graph(n, attachment=attachment, seed=seed)
+    rng = np.random.default_rng(seed)
+    couplings = {(u, v): float(rng.normal()) for u, v, _ in graph.edges()}
+    return [
+        IsingHamiltonian(
+            n,
+            linear=rng.normal(size=n).tolist(),
+            quadratic=couplings,
+            offset=float(rng.normal()),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestRealValuedBatchComposition:
+    """Batched == solo must hold bit for bit on real-valued weights too:
+    energies are summed per group, never in a batch-shaped order."""
+
+    @staticmethod
+    def _mixed_batch(trial):
+        families = [
+            _real_family(12, 2, 100 + trial, 3),
+            _real_family(9, 1, 200 + trial, 1),
+            _real_family(20, 1, 300 + trial, 3),
+            _real_family(15, 3, 400 + trial, 2),
+            _real_family(30, 2, 500 + trial, 1),
+        ]
+        hams = [h for family in families for h in family]
+        order = np.random.default_rng(trial).permutation(len(hams))
+        return [hams[i] for i in order]
+
+    @pytest.mark.parametrize("num_restarts", [1, 2, 4])
+    def test_batched_equals_solo_exactly(self, num_restarts):
+        for trial in range(4):
+            hams = self._mixed_batch(trial)
+            seeds = list(range(100 * trial, 100 * trial + len(hams)))
+            batched = anneal_many(
+                hams, num_sweeps=30, num_restarts=num_restarts, seeds=seeds
+            )
+            solo = [
+                anneal_many(
+                    [h], num_sweeps=30, num_restarts=num_restarts, seeds=[s]
+                )[0]
+                for h, s in zip(hams, seeds)
+            ]
+            assert batched == solo
+
+    @pytest.mark.parametrize("num_restarts", [1, 2, 4])
+    def test_partially_warm_cache_equals_cold(self, num_restarts):
+        hams = self._mixed_batch(7)
+        seeds = list(range(40, 40 + len(hams)))
+        kwargs = dict(num_sweeps=30, num_restarts=num_restarts)
+        cold = cached_anneal_many(hams, seeds=seeds, cache=SolveCache(), **kwargs)
+        cache = SolveCache()
+        cached_anneal_many(hams[::3], seeds=seeds[::3], cache=cache, **kwargs)
+        warm = cached_anneal_many(hams, seeds=seeds, cache=cache, **kwargs)
+        assert warm == cold
+        assert cache.stats_snapshot()["anneal"]["memory_hits"] == len(hams[::3])
 
 
 class TestValidationAndEdgeCases:
@@ -202,6 +301,17 @@ class TestValidationAndEdgeCases:
         h = IsingHamiltonian(5, linear=[1.0, -2.0, 0.0, 0.5, -0.5], offset=2.0)
         result = anneal_many([h], num_sweeps=40, num_restarts=2, seeds=[1])[0]
         assert result.value == brute_force_minimum(h).value
+
+    def test_legacy_engine_rejects_non_finite_energy(self):
+        # NaN never compares lower, so no best state is ever kept: the
+        # scalar loop must say why instead of failing a bare assert.
+        h = IsingHamiltonian(
+            3, linear=[float("nan"), 0.0, 1.0], quadratic={(0, 1): 1.0}
+        )
+        with pytest.raises(HamiltonianError, match="non-finite"):
+            simulated_annealing(
+                h, num_sweeps=5, num_restarts=2, seed=1, vectorized=False
+            )
 
     def test_legacy_engine_unchanged_for_seeded_calls(self):
         # A frozen reference from the pre-batched-engine scalar loop: the
@@ -276,6 +386,32 @@ class TestCacheIntegration:
         scalar = anneal_key(h, 10, 2, 5.0, 0.01, 7)
         assert anneal_key(h, 10, 2, 5.0, 0.01, 7, engine="scalar") == scalar
         assert anneal_key(h, 10, 2, 5.0, 0.01, 7, engine="vectorized") != scalar
+        current = anneal_key(h, 10, 2, 5.0, 0.01, 7, engine=VECTORIZED_ENGINE)
+        assert current not in (
+            scalar, anneal_key(h, 10, 2, 5.0, 0.01, 7, engine="vectorized")
+        )
+
+    def test_entries_under_earlier_vectorized_tag_miss(self):
+        # The earlier vectorized engine summed energies in a shape-dependent
+        # order; what it cached must not answer for the current engine.
+        h = _powerlaw(8, 1, seed=4)
+        cache = SolveCache()
+        stale = AnnealResult(
+            value=123.0, spins=(1,) * 8, num_sweeps=10, num_restarts=2
+        )
+        cache.put(
+            "anneal",
+            anneal_key(h, 10, 2, 5.0, 0.01, 7, engine="vectorized"),
+            stale,
+        )
+        fresh = simulated_annealing(h, num_sweeps=10, num_restarts=2, seed=7)
+        assert fresh != stale
+        assert cached_anneal_many(
+            [h], num_sweeps=10, num_restarts=2, seeds=[7], cache=cache
+        ) == [fresh]
+        assert cached_simulated_annealing(
+            h, num_sweeps=10, num_restarts=2, seed=7, cache=cache
+        ) == fresh
 
     def test_cached_anneal_many_answers_hits_individually(self):
         cells = _sibling_cells(n=12, m=3, seed=17)
